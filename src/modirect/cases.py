@@ -191,7 +191,7 @@ def history_csv(report: RunReport) -> str:
     return buf.getvalue()
 
 
-def run_case(config: CaseConfig, *, workers: int | None = None,
+def run_case(config: CaseConfig, *,
              posterior: PosteriorConfig = PosteriorConfig()) -> RunReport:
     """Simulate the measurement, run the engine and assemble the report."""
     start = time.perf_counter()
@@ -202,7 +202,7 @@ def run_case(config: CaseConfig, *, workers: int | None = None,
     bounds = (np.full(n, config.bounds[0]), np.full(n, config.bounds[1]))
     archive: ParetoArchive
     archive, state = engine.run(evaluator, bounds, config.strategy, config.max_evals,
-                                n_objectives=2, workers=workers)
+                                n_objectives=2)
     p_idx, p_alpha = sparse_select(archive, posterior)
     mean, var = archive_stats(archive)
     history = [(evals, -m[0], -m[1]) for evals, m in state.history]
@@ -283,9 +283,9 @@ def compare_strategies(config: CaseConfig,
     return ComparisonResult(config=config, reports=reports, errors=failures)
 
 
-def sweep(config: CaseConfig, n_seeds: int, *, workers: int | None = None) -> list[RunReport]:
+def sweep(config: CaseConfig, n_seeds: int) -> list[RunReport]:
     """Repeat the case with seeds seed, seed+1, ..., seed+n_seeds-1."""
     if n_seeds < 1:
         raise InvalidInputError("n_seeds must be >= 1")
-    return [run_case(dataclasses.replace(config, seed=config.seed + k), workers=workers)
+    return [run_case(dataclasses.replace(config, seed=config.seed + k))
             for k in range(n_seeds)]

@@ -9,7 +9,6 @@ measure conservation and size classes are therefore exact.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -308,20 +307,25 @@ class _Problem:
     upper: np.ndarray
     n_objectives: int
 
-    def evaluate_batch(self, unit_points: list[np.ndarray], mapper) -> list[np.ndarray]:
-        span = self.upper - self.lower
-        real = [self.lower + p * span for p in unit_points]
-        out = [np.atleast_1d(np.asarray(v, dtype=float)) for v in mapper(self.func, real)]
-        for v in out:
-            if v.shape != (self.n_objectives,):
-                raise InvalidInputError(
-                    f"objective callback returned shape {v.shape}, "
-                    f"expected ({self.n_objectives},)")
+    def evaluate_batch(self, unit_points) -> np.ndarray:
+        """(m, n_objectives) values at the unit-cube points, in one call to
+        ``func.batch`` when the callable has it, else point by point."""
+        real = self.lower + np.asarray(unit_points) * (self.upper - self.lower)
+        batch = getattr(self.func, "batch", None)
+        if batch is None:
+            rows = [np.atleast_1d(np.asarray(self.func(p), dtype=float)) for p in real]
+            for v in rows:
+                if v.shape != (self.n_objectives,):
+                    raise InvalidInputError(
+                        f"objective callback returned shape {v.shape}, "
+                        f"expected ({self.n_objectives},)")
+            return np.array(rows)
+        out = np.asarray(batch(real), dtype=float)
+        if out.shape != (len(real), self.n_objectives):
+            raise InvalidInputError(
+                f"objective batch returned shape {out.shape}, "
+                f"expected ({len(real)}, {self.n_objectives})")
         return out
-
-
-def _serial_map(func, points):
-    return [func(p) for p in points]
 
 
 def _validate_strategy(strategy: str, n_objectives: int) -> None:
@@ -338,14 +342,13 @@ def _validate_strategy(strategy: str, n_objectives: int) -> None:
 
 class _Engine:
     def __init__(self, problem: _Problem, strategy: str, epsilon: float,
-                 hv_reference, archive: ParetoArchive, mapper):
+                 hv_reference, archive: ParetoArchive):
         self.problem = problem
         self.strategy = strategy
         self.epsilon = epsilon
         self.hv_reference = (np.zeros(problem.n_objectives) if hv_reference is None
                              else np.asarray(hv_reference, dtype=float))
         self.archive = archive
-        self.mapper = mapper
         self.state = PartitionState(len(problem.lower), problem.n_objectives)
 
     def _insert(self, unit_point: np.ndarray, objectives: np.ndarray) -> None:
@@ -387,13 +390,13 @@ class _Engine:
                 p = center.copy()
                 p[dim] += sign * omega
                 samples.append(p)
-        objs = self.problem.evaluate_batch(samples, self.mapper)
+        objs = self.problem.evaluate_batch(samples)
         st.evaluations_used += len(samples)
         for p, o in zip(samples, objs):
             self._insert(p, o)
         # division order: best (lowest) non-dominated rank among each
         # dimension's two samples, within the batch plus the parent center
-        batch = np.vstack(objs + [st._objs[idx]])
+        batch = np.vstack([objs, st._objs[idx]])
         ranks = fast_nondominated_sort(batch)
         scores = np.minimum(ranks[0:-1:2], ranks[1:-1:2])
         order = long_dims[np.lexsort((long_dims, scores))]
@@ -424,7 +427,7 @@ class _Engine:
         n = len(self.problem.lower)
         st = self.state
         center = np.full(n, 0.5)
-        obj = self.problem.evaluate_batch([center], self.mapper)[0]
+        obj = self.problem.evaluate_batch([center])[0]
         st.append(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), obj)
         st.evaluations_used = 1
         self._insert(center, obj)
@@ -451,15 +454,14 @@ class _Engine:
 
 def run(func, bounds, strategy: str, max_evals: int, *, n_objectives: int = 2,
         epsilon: float = DEFAULT_EPSILON, hv_reference=None,
-        archive: ParetoArchive | None = None,
-        workers: int | None = None) -> tuple[ParetoArchive, PartitionState]:
+        archive: ParetoArchive | None = None) -> tuple[ParetoArchive, PartitionState]:
     """Run the DIRECT loop on ``func`` over box ``bounds``.
 
     ``func`` maps a real-coordinate vector to ``n_objectives`` values and must
-    be pure; with ``workers`` > 1 the samples of one trisection batch are
-    evaluated in a thread pool, with results merged in deterministic
-    (dimension index, -/+) order, so the outcome is independent of the
-    worker count.
+    be pure.  When it also has a ``batch`` method, mapping an (m, n) array of
+    points to (m, n_objectives) values, the samples of each trisection go to
+    it in one call, in (dimension index, -/+) order; the outcome must equal
+    that of calling ``func`` point by point.
     """
     lower, upper = _check_bounds(bounds)
     _validate_strategy(strategy, n_objectives)
@@ -467,10 +469,4 @@ def run(func, bounds, strategy: str, max_evals: int, *, n_objectives: int = 2,
         raise InvalidInputError(f"max_evals must be >= 1, got {max_evals}")
     problem = _Problem(func=func, lower=lower, upper=upper, n_objectives=n_objectives)
     archive = ParetoArchive() if archive is None else archive
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            mapper = lambda f, pts: list(pool.map(f, pts))
-            engine = _Engine(problem, strategy, epsilon, hv_reference, archive, mapper)
-            return engine.run(max_evals)
-    engine = _Engine(problem, strategy, epsilon, hv_reference, archive, _serial_map)
-    return engine.run(max_evals)
+    return _Engine(problem, strategy, epsilon, hv_reference, archive).run(max_evals)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from modirect import engine
 from modirect.beam import BeamModel
+from modirect.cases import run_case
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -22,3 +24,21 @@ def beam2() -> BeamModel:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture
+def run_case_per_point(monkeypatch):
+    """``run_case`` with the engine handed a plain callable instead of the
+    Evaluator, so every sample is evaluated on its own rather than in one
+    ``Evaluator.batch`` call per trisection."""
+    batched_run = engine.run
+
+    def per_point_run(func, *args, **kwargs):
+        return batched_run(lambda a: func(a), *args, **kwargs)
+
+    def run(config):
+        with monkeypatch.context() as m:
+            m.setattr(engine, "run", per_point_run)
+            return run_case(config)
+
+    return run

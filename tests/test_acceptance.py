@@ -298,13 +298,13 @@ def test_criterion_7_objective_identities(beam15, rng, verdict):
     assert not failures
 
 
-def test_criterion_8_determinism(verdict):
-    """Two runs of the same configuration, including different
-    evaluation-parallelism settings, produce byte-identical reports apart
-    from the wall clock."""
+def test_criterion_8_determinism(verdict, run_case_per_point):
+    """Two runs of the same configuration, and a third that evaluates each
+    sample on its own instead of in one batch per trisection, produce
+    byte-identical reports apart from the wall clock."""
     config = make_case("2", max_evals=2_000, seed=3)
-    texts = {run_case(config, workers=w).to_json(include_wall_clock=False)
-             for w in (None, None, 4)}
+    texts = {report.to_json(include_wall_clock=False) for report in
+             (run_case(config), run_case(config), run_case_per_point(config))}
     ok = len(texts) == 1
     verdict(8, "determinism", ok, f"{3} runs, {len(texts)} distinct report(s)")
     assert ok

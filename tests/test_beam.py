@@ -1,5 +1,7 @@
 """Finite-element beam model: assembly, modal solve, changes, sensitivities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -63,8 +65,9 @@ class TestAssemble:
         np.testing.assert_array_equal(stack.sum(axis=0), beam.healthy_stiffness(beam15))
 
     def test_dimension_mismatch(self, beam15):
-        with pytest.raises(InvalidInputError):
-            assemble(beam15, np.zeros(14))
+        for shape in (14, (3, 14), (2, 3, 15)):
+            with pytest.raises(InvalidInputError):
+                assemble(beam15, np.zeros(shape))
 
     def test_alpha_out_of_range(self, beam15):
         with pytest.raises(InvalidInputError):
@@ -150,6 +153,18 @@ class TestSolveModal:
         np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
         np.testing.assert_array_equal(a.mode_shapes, b.mode_shapes)
 
+    def test_stack_rows_match_single_solves(self, beam15, rng):
+        # more rows than one stacked LAPACK call takes
+        alphas = rng.uniform(0.0, 0.3, (beam.MAX_STACK_ROWS + 3, 15))
+        alphas[0] = 0.0
+        data = solve_modal(beam15, alphas, 6)
+        assert data.eigenvalues.shape == (len(alphas), 6)
+        assert data.mode_shapes.shape == (len(alphas), 30, 6)
+        for i, alpha in enumerate(alphas):
+            single = solve_modal(beam15, alpha, 6)
+            np.testing.assert_array_equal(data.eigenvalues[i], single.eigenvalues)
+            np.testing.assert_array_equal(data.mode_shapes[i], single.mode_shapes)
+
 
 class TestEigenChange:
     def test_zero_alpha(self, beam15):
@@ -203,6 +218,18 @@ class TestModeChange:
 
         monkeypatch.setattr(beam, "solve_modal", flipped)
         np.testing.assert_allclose(mode_change(beam15, alpha, 2), reference, atol=1e-12)
+
+    def test_mode_swap_warning(self, beam15):
+        # a nearly lost root element turns mode 2 into a different shape
+        # (modal assurance about 0.68 against the healthy mode 2)
+        alpha = np.zeros(15)
+        alpha[0] = 0.999
+        with pytest.warns(UserWarning, match="possible mode swap"):
+            mode_change(beam15, alpha, 2)
+        alpha[0] = 0.09
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mode_change(beam15, alpha, 2)
 
     def test_mode_out_of_range(self, beam15):
         with pytest.raises(InvalidInputError):

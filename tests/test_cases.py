@@ -146,10 +146,10 @@ class TestRunCase:
         b = run_case(config).to_json(include_wall_clock=False)
         assert a == b
 
-    def test_workers_do_not_change_result(self):
+    def test_batching_does_not_change_result(self, run_case_per_point):
         config = make_case("1", **FAST)
         a = run_case(config).to_json(include_wall_clock=False)
-        b = run_case(config, workers=4).to_json(include_wall_clock=False)
+        b = run_case_per_point(config).to_json(include_wall_clock=False)
         assert a == b
 
 

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modirect import engine
+from modirect.cases import build_model, make_case, simulate_measurement
 from modirect.engine import (MAX_DEPTH, Rectangle, canonical_cell_key, from_unit,
                              potentially_optimal_single, run, select_mo,
                              select_mo_hv, select_ns, select_pareto_front, to_unit)
 from modirect.errors import InvalidInputError, InvalidStateError
 from modirect.moo import ParetoArchive
+from modirect.objectives import Evaluator
 
 
 def random_partition(rng, n_rects, n_objectives=1, max_exp=4):
@@ -296,15 +298,31 @@ class TestRun:
         for _, mean in state.history:
             assert all(-1.0 <= v <= 0.0 for v in mean)
 
-    def test_deterministic_across_workers(self):
-        f = lambda x: np.array([float(np.sum(x ** 2)), float(np.sum((x - 1) ** 2))])
+    def test_batched_matches_per_point(self):
+        # the engine hands an Evaluator each trisection's samples in one
+        # batch call, and a plain callable one sample at a time
+        config = make_case("1", noise_sigma=0.0)
+        model = build_model(config)
+        ev = Evaluator(model, simulate_measurement(config, model))
+        bounds = (np.zeros(15), np.full(15, 0.3))
         results = []
-        for workers in (None, 4):
-            archive, state = run(f, (np.zeros(3), np.ones(3)), "pareto-front", 600,
-                                 workers=workers)
-            results.append((archive.objectives.copy(), state._cells[: state.size].copy()))
-        np.testing.assert_array_equal(results[0][0], results[1][0])
-        np.testing.assert_array_equal(results[0][1], results[1][1])
+        for func in (ev, lambda a: ev(a)):
+            archive, state = run(func, bounds, "pareto-front", 300)
+            results.append((archive.alphas, archive.objectives,
+                            state._cells[: state.size].copy(), state.objectives.copy()))
+        for batched, per_point in zip(*results):
+            np.testing.assert_array_equal(batched, per_point)
+
+    def test_batch_shape_checked(self):
+        class Batched:
+            def __call__(self, x):
+                return np.zeros(2)
+
+            def batch(self, xs):
+                return np.zeros((len(xs), 3))
+
+        with pytest.raises(InvalidInputError):
+            run(Batched(), (np.zeros(2), np.ones(2)), "pareto-front", 100)
 
     def test_transactional_on_callback_failure(self):
         calls = {"n": 0}

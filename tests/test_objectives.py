@@ -1,16 +1,18 @@
 """MDLAC correlation measure and the two-objective evaluation."""
 
 import dataclasses
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from modirect import beam
 from modirect.beam import BeamModel, eigen_change, mode_change
-from modirect.errors import InvalidInputError
+from modirect.cases import build_model, make_case, simulate_measurement
+from modirect.errors import InvalidInputError, NumericalFailureError
 from modirect.objectives import Evaluator, Measurement, evaluate, mdlac
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
@@ -72,6 +74,21 @@ class TestMdlac:
         base = mdlac(measured, other)
         assert mdlac(measured * scale, other) == pytest.approx(base, rel=1e-9)
         assert mdlac(measured, other * scale) == pytest.approx(base, rel=1e-9)
+
+
+    def test_stacked_prediction(self, rng):
+        measured = rng.normal(size=9)
+        predicted = rng.normal(size=(6, 9))
+        predicted[2] = 0.0
+        predicted[4] = -3.0 * measured
+        values = mdlac(measured, predicted)
+        assert values.shape == (6,)
+        for row, value in zip(predicted, values):
+            assert value == mdlac(measured, row)
+        assert values[2] == 0.0
+        assert values[4] == pytest.approx(1.0, abs=1e-14)
+        with pytest.raises(InvalidInputError):
+            mdlac(measured, predicted[:, :8])
 
 
 class TestMeasurement:
@@ -163,3 +180,83 @@ class TestEvaluate:
         ev = Evaluator(beam15, meas)
         alpha = rng.uniform(0.0, 0.3, 15)
         np.testing.assert_array_equal(ev(alpha), ev(alpha))
+
+
+@lru_cache(maxsize=None)
+def case_evaluator(case_id: str) -> tuple[Evaluator, float]:
+    """Evaluator of a registry case and the upper bound of its search box."""
+    config = make_case(case_id)
+    model = build_model(config)
+    return Evaluator(model, simulate_measurement(config, model)), config.bounds[1]
+
+
+@st.composite
+def case_batches(draw):
+    """A registry case's Evaluator and a stack of 1 to 2n damage vectors,
+    with whole rows at either bound and entries at the bounds."""
+    ev, upper = case_evaluator(draw(st.sampled_from(["1", "2", "3", "4", "5"])))
+    n = ev.model.n_elements
+    entries = st.sampled_from([0.0, upper]) | st.floats(0.0, upper)
+    rows = st.one_of(st.just(np.zeros(n)), st.just(np.full(n, upper)),
+                     arrays(np.float64, n, elements=entries))
+    return ev, np.array(draw(st.lists(rows, min_size=1, max_size=2 * n)))
+
+
+class TestBatch:
+    @settings(max_examples=15)
+    @given(case=case_batches())
+    def test_rows_match_single_calls(self, case):
+        ev, alphas = case
+        out = ev.batch(alphas)
+        assert out.shape == (len(alphas), 2)
+        for row, alpha in zip(out, alphas):
+            assert row.tobytes() == ev(alpha).tobytes()
+
+    def test_row_out_of_range(self, beam15):
+        ev = Evaluator(beam15, exact_measurement(beam15, case3_truth()))
+        for bad in (1.5, -0.1, np.nan):
+            alphas = np.zeros((3, 15))
+            alphas[1, 4] = bad
+            with pytest.raises(InvalidInputError):
+                ev.batch(alphas)
+
+    def test_row_of_wrong_length(self, beam15):
+        ev = Evaluator(beam15, exact_measurement(beam15, case3_truth()))
+        with pytest.raises(InvalidInputError):
+            ev.batch(np.zeros((3, 14)))
+        with pytest.raises(InvalidInputError):
+            ev.batch(np.zeros(15))
+
+    def test_singular_row(self, beam2):
+        ev = Evaluator(beam2, exact_measurement(beam2, np.array([0.1, 0.0]), q=3))
+        with pytest.raises(NumericalFailureError):
+            ev.batch(np.array([[0.1, 0.0], [1.0, 1.0]]))
+
+    def test_zero_row_convention(self, beam15):
+        truth = case3_truth()
+        ev = Evaluator(beam15, exact_measurement(beam15, truth))
+        out = ev.batch(np.vstack([np.zeros(15), truth]))
+        np.testing.assert_array_equal(out[0], [0.0, 0.0])
+        np.testing.assert_allclose(out[1], [-1.0, -1.0], atol=1e-10)
+
+    def test_sensitivity_prediction(self, beam15, rng):
+        meas = exact_measurement(beam15, case3_truth())
+        ev = Evaluator(beam15, meas, prediction="sensitivity")
+        alphas = rng.uniform(0.0, 0.3, (5, 15))
+        alphas[0] = 0.0
+        out = ev.batch(alphas)
+        for row, alpha in zip(out, alphas):
+            assert row.tobytes() == ev(alpha).tobytes()
+        np.testing.assert_array_equal(out[0], [0.0, 0.0])
+        # the mode-shape objective comes from the same exact modal solve
+        np.testing.assert_array_equal(out[:, 1], Evaluator(beam15, meas).batch(alphas)[:, 1])
+
+    def test_mode_swap_counter(self, beam15):
+        ev = Evaluator(beam15, exact_measurement(beam15, case3_truth()))
+        swapped = np.zeros(15)
+        swapped[0] = 0.999
+        assert ev.suspected_mode_swaps == 0
+        ev.batch(np.vstack([np.zeros(15), case3_truth(), swapped]))
+        assert ev.suspected_mode_swaps == 1
+        ev(swapped)
+        assert ev.suspected_mode_swaps == 2
