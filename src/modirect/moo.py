@@ -7,6 +7,10 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidStateError
 
+# Points per block of the sweep in nondominated_mask (three or more
+# objectives).
+MASK_BLOCK_ROWS = 256
+
 
 def dominates(a, b) -> bool:
     """True if objective vector ``a`` dominates ``b`` (minimization)."""
@@ -105,12 +109,21 @@ def nondominated_mask(points) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     if points.shape[1] == 2:
         return _ranks_2d(points) == 1
-    n = points.shape[0]
-    mask = np.empty(n, dtype=bool)
-    for i in range(n):
-        le = np.all(points <= points[i], axis=1)
-        lt = np.any(points < points[i], axis=1)
-        mask[i] = not np.any(le & lt)
+    # A dominator precedes its point in lexicographic order and domination is
+    # transitive, so a sweep in that order only has to test each block
+    # against itself and the non-dominated points of the earlier blocks.
+    order = np.lexsort(points.T[::-1])
+    mask = np.zeros(points.shape[0], dtype=bool)
+    front = points[:0]
+    for start in range(0, order.size, MASK_BLOCK_ROWS):
+        idx = order[start:start + MASK_BLOCK_ROWS]
+        block = points[idx]
+        rivals = np.vstack([front, block])
+        le = np.all(rivals[:, None, :] <= block[None, :, :], axis=2)
+        lt = np.any(rivals[:, None, :] < block[None, :, :], axis=2)
+        keep = ~np.any(le & lt, axis=0)
+        mask[idx[keep]] = True
+        front = np.vstack([front, block[keep]])
     return mask
 
 

@@ -1,10 +1,19 @@
-import numpy as np
-import pytest
-from hypothesis import HealthCheck, settings
+import os
 
-from modirect import engine
-from modirect.beam import BeamModel
-from modirect.cases import run_case
+# The suite solves thousands of small (at most 60 x 60) eigenproblems, where
+# BLAS worker threads never pay; on a loaded machine they spin against each
+# other and slow the acceptance runs several-fold.  The pin must precede the
+# first numpy import.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from hypothesis import HealthCheck, settings  # noqa: E402
+
+from modirect import engine  # noqa: E402
+from modirect.beam import BeamModel  # noqa: E402
+from modirect.cases import run_case  # noqa: E402
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow])

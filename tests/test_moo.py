@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from modirect import moo
 from modirect.errors import InvalidInputError, InvalidStateError
 from modirect.moo import (ParetoArchive, dominates, exclusive_contribution,
                           exclusive_contributions, fast_nondominated_sort,
@@ -95,6 +96,17 @@ class TestNondominatedSort:
     def test_mask_is_rank_one(self, points):
         np.testing.assert_array_equal(nondominated_mask(points),
                                       fast_nondominated_sort(points) == 1)
+
+    @given(points=point_sets(max_points=80, dims=st.sampled_from([1, 3, 4])),
+           block=st.integers(1, 9))
+    def test_mask_across_sweep_blocks(self, points, block):
+        # the sweep serves every dimension but 2; ties are common in the
+        # size objective, so round the values
+        points = np.round(points)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moo, "MASK_BLOCK_ROWS", block)
+            mask = nondominated_mask(points)
+        np.testing.assert_array_equal(mask, oracle_ranks(points) == 1)
 
 
 class TestHypervolume:
