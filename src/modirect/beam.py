@@ -29,6 +29,12 @@ MODE_MATCH_WARN_MAC = 0.9
 # call overhead and raise the peak memory of a 30-element run by over 10%.
 MAX_STACK_ROWS = 16
 
+# Inverse iteration for the wanted mode shapes: the offset of the shift from
+# the computed eigenvalue, relative to the largest eigenvalue of the stack's
+# matrix, and the number of solves from the fixed start vector.
+SHIFT_OFFSET = 1e-13
+INVERSE_ITERATION_STEPS = 2
+
 
 @dataclass(frozen=True)
 class BeamModel:
@@ -60,7 +66,7 @@ class ModalData:
     """Lowest eigenpairs of one model state.
 
     ``eigenvalues`` are ascending (rad^2/s^2); ``mode_shapes`` has one column
-    per mode over the free DOFs, mass-ortho-normalized with the
+    per requested mode over the free DOFs, mass-ortho-normalized with the
     largest-magnitude translational component of each mode positive.
     """
 
@@ -182,53 +188,83 @@ def _fix_signs(phi: np.ndarray) -> np.ndarray:
     return phi * np.where(lead < 0.0, -1.0, 1.0)
 
 
-def solve_modal(model: BeamModel, alpha, n_modes: int) -> ModalData:
-    """Lowest ``n_modes`` generalized eigenpairs of the (possibly damaged) beam.
+def solve_modal(model: BeamModel, alpha, n_modes: int, modes=None) -> ModalData:
+    """Lowest ``n_modes`` eigenvalues and the shapes of ``modes`` of the beam.
 
     ``alpha`` is one damage vector (n,) or a stack (m, n); the eigenvalues
-    and mode shapes gain the same leading axis.  Each damaged stiffness is
-    Cholesky-factorized, K = L L^T, and the problem reduced to the standard
-    form B = L^-1 M L^-T, whose *largest* eigenvalues are the reciprocals of
-    the wanted lowest generalized ones.  This shift-invert form keeps the
-    low modes accurate despite the wide eigenvalue spread of beam stiffness
-    matrices.  Every step works matrix by matrix, so a row's result does not
-    depend on the stack it was solved in.
+    and mode shapes gain the same leading axis.  ``modes`` lists the 1-based
+    modes, each at most ``n_modes``, whose shapes are wanted, in the order of
+    the ``mode_shapes`` columns; the default is all ``n_modes``.  Each damaged
+    stiffness is Cholesky-factorized, K = L L^T, and the problem reduced to
+    the standard form B = L^-1 M L^-T, whose *largest* eigenvalues are the
+    reciprocals of the wanted lowest generalized ones.  This shift-invert
+    form keeps the low modes accurate despite the wide eigenvalue spread of
+    beam stiffness matrices.  The eigenvalues come from an eigenvalues-only
+    solve of B and each wanted shape from inverse iteration on B, so a shape
+    does not depend on which other shapes were asked for.  Every step works
+    matrix by matrix, so a row's result does not depend on the stack it was
+    solved in.
     """
     if n_modes < 1 or n_modes > model.n_free_dofs:
         raise InvalidInputError(
             f"n_modes must be in [1, {model.n_free_dofs}], got {n_modes}")
+    modes = tuple(range(1, n_modes + 1)) if modes is None else tuple(modes)
+    if any(mode < 1 or mode > n_modes for mode in modes):
+        raise InvalidInputError(f"modes {modes} must lie in [1, {n_modes}]")
     alpha = check_alpha(model, alpha)
     rows = alpha.reshape(-1, model.n_elements)
     eigenvalues = np.empty((rows.shape[0], n_modes))
-    mode_shapes = np.empty((rows.shape[0], model.n_free_dofs, n_modes))
+    mode_shapes = np.empty((rows.shape[0], model.n_free_dofs, len(modes)))
     for start in range(0, rows.shape[0], MAX_STACK_ROWS):
         chunk = slice(start, start + MAX_STACK_ROWS)
-        eigenvalues[chunk], mode_shapes[chunk] = _solve_stack(model, rows[chunk], n_modes)
+        eigenvalues[chunk], mode_shapes[chunk] = _solve_stack(model, rows[chunk], n_modes, modes)
     if alpha.ndim == 1:
         eigenvalues, mode_shapes = eigenvalues[0], mode_shapes[0]
     return ModalData(eigenvalues=eigenvalues, mode_shapes=mode_shapes)
 
 
-def _solve_stack(model: BeamModel, rows: np.ndarray,
-                 n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+def _solve_stack(model: BeamModel, rows: np.ndarray, n_modes: int,
+                 modes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     K, M = assemble(model, rows)
     try:
         L = np.linalg.cholesky(K)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(
             f"stiffness matrix is not positive definite: {exc}") from exc
-    # W = L^-T, so B = W^T M W; eigh returns mu = 1/lambda ascending
-    W = np.linalg.inv(np.swapaxes(L, 1, 2))
-    B = np.swapaxes(W, 1, 2) @ (M @ W)
-    B = 0.5 * (B + np.swapaxes(B, 1, 2))
-    mu, Y = np.linalg.eigh(B)
-    mu = mu[:, -n_modes:]
-    if np.any(mu <= 0.0):  # pragma: no cover - M is SPD by construction
-        raise NumericalFailureError(
-            f"mass matrix is not positive definite (eigenvalue {mu.min():g})")
-    # y = L^T phi with y^T y = 1 gives phi^T M phi = mu; rescale to unit mass norm
-    phi = (W @ Y[:, :, -n_modes:]) / np.sqrt(mu)[:, None, :]
-    return 1.0 / mu[:, ::-1], _fix_signs(phi[:, :, ::-1])
+    try:
+        # W = L^-T, so B = W^T M W; mu = 1/lambda, largest first
+        W = np.linalg.inv(np.swapaxes(L, 1, 2))
+        B = np.swapaxes(W, 1, 2) @ (M @ W)
+        B = 0.5 * (B + np.swapaxes(B, 1, 2))
+        mu = np.linalg.eigvalsh(B)[:, :-n_modes - 1:-1]
+        if np.any(mu <= 0.0):  # pragma: no cover - M is SPD by construction
+            raise NumericalFailureError(
+                f"mass matrix is not positive definite (eigenvalue {mu.min():g})")
+        wanted = mu[:, [mode - 1 for mode in modes]]
+        # the computed mu_j is accurate only to about eps * mu_1 = eps |B|,
+        # far above eps * mu_j for the higher modes, so the offset scales
+        # with mu_1 to keep B - sigma I from being exactly singular
+        Y = _inverse_iteration(B, wanted + SHIFT_OFFSET * mu[:, :1])
+        # y = L^T phi with y^T y = 1 gives phi^T M phi = mu; rescale to unit mass norm
+        phi = (W[:, None] @ Y)[..., 0] / np.sqrt(wanted)[..., None]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"modal solve failed: {exc}") from exc
+    return 1.0 / mu, _fix_signs(np.swapaxes(phi, 1, 2))
+
+
+def _inverse_iteration(B: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of the matrices of ``B`` (m, n, n) for the
+    eigenvalues nearest ``shifts`` (m, k), as an (m, k, n, 1) stack.
+
+    The start vector is fixed and every (row, shift) pair is solved on its
+    own, so each vector depends only on its own matrix and shift.
+    """
+    shifted = B[:, None] - shifts[..., None, None] * np.eye(B.shape[-1])
+    y = np.ones(shifted.shape[:-1] + (1,))
+    for _ in range(INVERSE_ITERATION_STEPS):
+        y = np.linalg.solve(shifted, y)
+        y /= np.linalg.norm(y, axis=-2, keepdims=True)
+    return y
 
 
 @lru_cache(maxsize=None)
@@ -242,7 +278,7 @@ def healthy_modal(model: BeamModel, n_modes: int) -> ModalData:
 def eigen_change(model: BeamModel, alpha, q: int) -> np.ndarray:
     """Exact healthy-minus-damaged eigenvalue changes for the first q modes."""
     healthy = healthy_modal(model, q)
-    damaged = solve_modal(model, alpha, q)
+    damaged = solve_modal(model, alpha, q, modes=())
     return healthy.eigenvalues - damaged.eigenvalues
 
 
@@ -260,6 +296,32 @@ def aligned_change(phi_h: np.ndarray, phi_d) -> tuple[np.ndarray, np.ndarray]:
     return phi_h - phi_d, mac
 
 
+def modal_change(model: BeamModel, alpha, q: int,
+                 mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Healthy-minus-damaged changes of the first q eigenvalues and of the
+    shape of ``mode`` (1-based, over all free DOFs), from one modal solve.
+
+    Returns the two changes and the modal assurance between the matched
+    healthy and damaged shapes.  Both the simulated measurement and the
+    Evaluator's prediction come from here; ``alpha`` is one damage vector or
+    a stack.
+    """
+    n_modes = max(q, mode)
+    healthy = healthy_modal(model, n_modes)
+    damaged = solve_modal(model, alpha, n_modes, modes=(mode,))
+    delta_phi, mac = aligned_change(healthy.mode_shapes[:, mode - 1],
+                                    damaged.mode_shapes[..., 0])
+    return healthy.eigenvalues[:q] - damaged.eigenvalues[..., :q], delta_phi, mac
+
+
+def warn_on_mode_swap(mac, mode: int) -> None:
+    """Warn when a modal assurance value drops below MODE_MATCH_WARN_MAC."""
+    if np.any(mac < MODE_MATCH_WARN_MAC):
+        warnings.warn(
+            f"modal assurance between baseline and damaged mode {mode} "
+            f"is below {MODE_MATCH_WARN_MAC}: possible mode swap", stacklevel=3)
+
+
 def mode_change(model: BeamModel, alpha, mode: int,
                 measured_dofs=TRANSLATIONAL_DOFS) -> np.ndarray:
     """Healthy-minus-damaged change of one mode shape over the measured DOFs.
@@ -268,15 +330,8 @@ def mode_change(model: BeamModel, alpha, mode: int,
     one before differencing; a warning is emitted when the modal-assurance
     value between the matched modes drops below MODE_MATCH_WARN_MAC.
     """
-    if mode < 1 or mode > model.n_free_dofs:
-        raise InvalidInputError(f"mode index {mode} out of range [1, {model.n_free_dofs}]")
-    phi_h = healthy_modal(model, mode).mode_shapes[:, mode - 1]
-    phi_d = solve_modal(model, alpha, mode).mode_shapes[..., mode - 1]
-    change, mac = aligned_change(phi_h, phi_d)
-    if np.any(mac < MODE_MATCH_WARN_MAC):
-        warnings.warn(
-            f"modal assurance between baseline and damaged mode {mode} "
-            f"is below {MODE_MATCH_WARN_MAC}: possible mode swap", stacklevel=2)
+    _, change, mac = modal_change(model, alpha, mode, mode)
+    warn_on_mode_swap(mac, mode)
     return change[..., measured_dofs]
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .beam import BeamModel, eigen_change, mode_change
+from .beam import TRANSLATIONAL_DOFS, BeamModel, modal_change, warn_on_mode_swap
 from .errors import InvalidInputError
 from .moo import ParetoArchive
 from .objectives import Evaluator, Measurement
@@ -112,9 +112,10 @@ def simulate_measurement(config: CaseConfig, model: BeamModel | None = None) -> 
     noise of standard deviation ``noise_sigma`` (seeded PCG64 generator)."""
     if model is None:
         model = build_model(config)
-    alpha = true_alpha(config)
-    delta_lambda = eigen_change(model, alpha, config.q_frequencies)
-    delta_phi = mode_change(model, alpha, config.mode_index)
+    delta_lambda, delta_phi, mac = modal_change(
+        model, true_alpha(config), config.q_frequencies, config.mode_index)
+    warn_on_mode_swap(mac, config.mode_index)
+    delta_phi = delta_phi[TRANSLATIONAL_DOFS]
     rng = np.random.default_rng(config.seed)
     delta_lambda = delta_lambda * (1.0 + config.noise_sigma * rng.standard_normal(delta_lambda.size))
     delta_phi = delta_phi * (1.0 + config.noise_sigma * rng.standard_normal(delta_phi.size))

@@ -86,7 +86,8 @@ class Evaluator:
     """Callable mapping a damage vector to the two-objective MDLAC vector.
 
     ``batch`` evaluates a stack of damage vectors with one stacked modal
-    solve, which covers both the frequency and the mode-shape prediction;
+    solve, ``beam.modal_change``, which covers both the frequency and the
+    mode-shape prediction and also simulates the measurement;
     calling the evaluator on one vector is a batch of one.
     ``prediction="sensitivity"`` replaces the exact frequency-change
     re-solve with the first-order map S @ alpha.  ``suspected_mode_swaps``
@@ -117,16 +118,10 @@ class Evaluator:
             raise InvalidInputError(
                 f"expected an (m, n) stack of damage vectors, got shape {alphas.shape}")
         meas = self.measurement
-        q, j = meas.q, meas.mode_index
-        n_modes = max(q, j)
-        healthy = beam.healthy_modal(self.model, n_modes)
-        damaged = beam.solve_modal(self.model, alphas, n_modes)
+        delta_lambda, delta_phi, mac = beam.modal_change(
+            self.model, alphas, meas.q, meas.mode_index)
         if self._sensitivity is not None:
             delta_lambda = (alphas[:, None, :] * self._sensitivity).sum(axis=-1)
-        else:
-            delta_lambda = healthy.eigenvalues[:q] - damaged.eigenvalues[:, :q]
-        delta_phi, mac = beam.aligned_change(healthy.mode_shapes[:, j - 1],
-                                             damaged.mode_shapes[:, :, j - 1])
         self.suspected_mode_swaps += int(np.count_nonzero(mac < beam.MODE_MATCH_WARN_MAC))
         return -np.column_stack([
             mdlac(meas.delta_lambda, delta_lambda),

@@ -2,6 +2,7 @@
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -121,15 +122,46 @@ class TestSolveModal:
         np.testing.assert_allclose(damaged.mode_shapes, healthy.mode_shapes, atol=1e-8)
 
     def test_residual_tolerance(self, beam15):
-        alpha = np.zeros(15)
-        alpha[[2, 8, 13]] = [0.09, 0.03, 0.05]
-        data = solve_modal(beam15, alpha, 9)
-        K, M = assemble(beam15, alpha)
-        for j in range(9):
-            phi = data.mode_shapes[:, j]
-            lam = data.eigenvalues[j]
-            res = np.linalg.norm(K @ phi - lam * M @ phi) / np.linalg.norm(lam * M @ phi)
-            assert res < 1e-10
+        case3 = np.zeros(15)
+        case3[[2, 8, 13]] = [0.09, 0.03, 0.05]
+        # the nearly lost root element swaps mode 2 (see TestModeChange)
+        swapped = np.zeros(15)
+        swapped[0] = 0.999
+        # the computed mu_j is accurate only to about eps * mu_1; a shift
+        # offset relative to mu_j alone left the shifted matrix of mode 6 of
+        # random row 15 exactly singular
+        random_rows = np.random.default_rng(1).uniform(0.0, 0.3, (40, 15))
+        alphas = np.vstack([case3, swapped, np.zeros(15), random_rows])
+        data = solve_modal(beam15, alphas, 9)
+        K, M = assemble(beam15, alphas)
+        lam_M_phi = data.eigenvalues[:, None, :] * (M @ data.mode_shapes)
+        residual = np.linalg.norm(K @ data.mode_shapes - lam_M_phi, axis=1)
+        bound = 1e-10 * np.linalg.norm(lam_M_phi, axis=1)
+        # lambda_1 of the swapped row is so small that rounding phi to float64
+        # alone leaves a residual near eps |K| |phi|, about 3e-8 |lambda M phi|
+        phi = data.mode_shapes[1, :, 0]
+        bound[1, 0] = np.finfo(float).eps * np.linalg.norm(np.abs(K[1]) @ np.abs(phi))
+        assert np.all(residual < bound)
+
+    def test_requested_modes_match_all_modes(self, beam15, rng):
+        # each shape comes from its own inverse iteration, so asking for a
+        # subset changes no bit of the shapes asked for
+        alphas = rng.uniform(0.0, 0.3, (beam.MAX_STACK_ROWS + 3, 15))
+        alphas[1] = 0.0
+        alphas[2, 0] = 0.999
+        full = solve_modal(beam15, alphas, 9)
+        for modes in ((2,), (9,), (5, 1), ()):
+            part = solve_modal(beam15, alphas, 9, modes=modes)
+            assert part.mode_shapes.shape == (len(alphas), 30, len(modes))
+            np.testing.assert_array_equal(part.eigenvalues, full.eigenvalues)
+            for col, mode in enumerate(modes):
+                np.testing.assert_array_equal(part.mode_shapes[:, :, col],
+                                              full.mode_shapes[:, :, mode - 1])
+
+    def test_requested_modes_out_of_range(self, beam15):
+        for modes in ((0,), (6,), (2, 7)):
+            with pytest.raises(InvalidInputError):
+                solve_modal(beam15, np.zeros(15), 5, modes=modes)
 
     def test_too_many_modes_rejected(self, beam2):
         with pytest.raises(InvalidInputError):
@@ -138,6 +170,15 @@ class TestSolveModal:
     def test_singular_stiffness_reported(self, beam2):
         with pytest.raises(NumericalFailureError, match="stiffness"):
             solve_modal(beam2, np.ones(2), 2)
+
+    @pytest.mark.parametrize("routine", ["inv", "eigvalsh", "solve"])
+    def test_linalg_failure_reported(self, beam15, monkeypatch, routine):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("synthetic breakdown")
+
+        monkeypatch.setattr(np.linalg, routine, fail)
+        with pytest.raises(NumericalFailureError, match="synthetic breakdown"):
+            solve_modal(beam15, np.zeros((3, 15)), 5)
 
     def test_mesh_refinement_sanity(self):
         coarse = BeamModel(n_elements=30, element_length=5.0)
@@ -164,6 +205,48 @@ class TestSolveModal:
             single = solve_modal(beam15, alpha, 6)
             np.testing.assert_array_equal(data.eigenvalues[i], single.eigenvalues)
             np.testing.assert_array_equal(data.mode_shapes[i], single.mode_shapes)
+
+
+def mpmath_modal(model: BeamModel, alpha, n_modes: int, mode: int):
+    """Lowest eigenvalues and the mass-normalized shape of ``mode`` of the
+    float64 matrices K(alpha) and M, solved at 30 significant digits."""
+    K, M = assemble(model, alpha)
+    with mpmath.workdps(30):
+        C_inv = mpmath.inverse(mpmath.cholesky(mpmath.matrix(M.tolist())))
+        A = C_inv * mpmath.matrix(K.tolist()) * C_inv.T
+        E, Q = mpmath.eigsy((A + A.T) / 2)
+        order = sorted(range(len(E)), key=lambda i: E[i])
+        eigenvalues = np.array([float(E[i]) for i in order[:n_modes]])
+        shape = np.array([float(x) for x in C_inv.T * Q[:, order[mode - 1]]])
+    return eigenvalues, shape
+
+
+def _oracle_cases():
+    """Damage vectors of beam15 and the relative eigenvalue tolerance."""
+    rng = np.random.default_rng(20261020)
+    tip = np.zeros(15)
+    tip[14] = 0.01
+    root = np.zeros(15)
+    root[0] = 0.999
+    return [pytest.param(np.zeros(15), 1e-10, id="zero"),
+            pytest.param(tip, 1e-10, id="tip-1pct"),
+            pytest.param(root, 1e-8, id="root-0.999"),
+            pytest.param(rng.uniform(0.0, 0.3, 15), 1e-10, id="uniform-0.3"),
+            pytest.param(rng.uniform(0.0, 0.02, 15), 1e-10, id="uniform-0.02")]
+
+
+class TestOracle:
+    """The modal solve of beam15 against a 30-digit ``mpmath`` solve of the
+    same float64 matrices: eigenvalues of the first 9 modes and mode 2."""
+
+    @pytest.mark.parametrize("alpha,rtol", _oracle_cases())
+    def test_matches_mpmath(self, beam15, alpha, rtol):
+        eigenvalues, shape = mpmath_modal(beam15, alpha, 9, 2)
+        data = solve_modal(beam15, alpha, 9)
+        np.testing.assert_allclose(data.eigenvalues, eigenvalues, rtol=rtol, atol=0.0)
+        phi = data.mode_shapes[:, 1]
+        shape *= np.sign(shape @ phi)
+        assert np.abs(phi - shape).max() <= 1e-11 * np.abs(shape).max()
 
 
 class TestEigenChange:
@@ -211,8 +294,8 @@ class TestModeChange:
         assert np.any(reference)
         original = beam.solve_modal
 
-        def flipped(model, a, n_modes):
-            data = original(model, a, n_modes)
+        def flipped(model, a, n_modes, modes=None):
+            data = original(model, a, n_modes, modes)
             return beam.ModalData(eigenvalues=data.eigenvalues,
                                   mode_shapes=-data.mode_shapes)
 

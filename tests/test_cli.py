@@ -59,6 +59,14 @@ class TestRunCommand:
         assert cli.main(["run", "--case", "1", *FAST]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_linalg_failure_exits_two(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("synthetic breakdown")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        assert cli.main(["run", "--case", "1", *FAST]) == 2
+        assert "synthetic breakdown" in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_csv_output(self, tmp_path):

@@ -66,7 +66,12 @@ class TestMdlac:
         assert 0.0 <= value <= 1.0
         assert mdlac(predicted, measured) == pytest.approx(value, abs=1e-12)
 
-    @given(measured=vectors, scale=st.floats(1e-3, 1e3))
+    # subnormal entries lose their digits when scaled, and the smallest one
+    # underflows to zero (see test_underflowed_measurement_rejected)
+    @given(measured=arrays(np.float64, st.integers(1, 12),
+                           elements=st.floats(-1e6, 1e6, allow_nan=False,
+                                              allow_subnormal=False)),
+           scale=st.floats(1e-3, 1e3))
     def test_rescaling_either_argument(self, measured, scale):
         if not np.any(measured):
             measured[0] = 1.0
@@ -75,6 +80,9 @@ class TestMdlac:
         assert mdlac(measured * scale, other) == pytest.approx(base, rel=1e-9)
         assert mdlac(measured, other * scale) == pytest.approx(base, rel=1e-9)
 
+    def test_underflowed_measurement_rejected(self):
+        with pytest.raises(InvalidInputError):
+            mdlac(np.array([5e-324]) * 0.5, np.ones(1))
 
     def test_stacked_prediction(self, rng):
         measured = rng.normal(size=9)
@@ -232,11 +240,21 @@ class TestBatch:
         with pytest.raises(NumericalFailureError):
             ev.batch(np.array([[0.1, 0.0], [1.0, 1.0]]))
 
-    def test_zero_row_convention(self, beam15):
+    def test_zero_row_convention(self, beam15, rng):
+        # zero rows first, inside and past the first stacked solve reproduce
+        # the healthy solve exactly
         truth = case3_truth()
         ev = Evaluator(beam15, exact_measurement(beam15, truth))
-        out = ev.batch(np.vstack([np.zeros(15), truth]))
-        np.testing.assert_array_equal(out[0], [0.0, 0.0])
+        alphas = rng.uniform(0.0, 0.3, (beam.MAX_STACK_ROWS + 4, 15))
+        zero_rows = [0, 7, beam.MAX_STACK_ROWS + 2]
+        alphas[zero_rows] = 0.0
+        alphas[1] = truth
+        delta_lambda, delta_phi, _ = beam.modal_change(beam15, alphas, 5, 2)
+        np.testing.assert_array_equal(delta_lambda[zero_rows], 0.0)
+        np.testing.assert_array_equal(delta_phi[zero_rows], 0.0)
+        assert np.all(delta_lambda[2:7] != 0.0)
+        out = ev.batch(alphas)
+        np.testing.assert_array_equal(out[zero_rows], 0.0)
         np.testing.assert_allclose(out[1], [-1.0, -1.0], atol=1e-10)
 
     def test_sensitivity_prediction(self, beam15, rng):
